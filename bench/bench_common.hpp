@@ -15,8 +15,7 @@
 #include <iostream>
 #include <string>
 
-#include "finder/finder.hpp"
-#include "finder/tangled_logic_finder.hpp"
+#include "gtl/finder.hpp"
 #include "util/cli.hpp"
 #include "util/status.hpp"
 #include "util/table.hpp"

@@ -1,6 +1,6 @@
 // Performance microbenchmarks (google-benchmark) validating the paper's
-// complexity claims (Ch. IV) and the design-choice ablations DESIGN.md
-// calls out:
+// complexity claims (Ch. IV) and its design choices (README
+// "Substitutions" lists where this repo departs from the paper):
 //   * Phase I ordering cost ~ O(|E| ln |V|) — growth rate across sizes;
 //   * the large-net update-skip trick (paper's K=20) on fanout-heavy nets;
 //   * Phase III refinement cost vs. detection quality;

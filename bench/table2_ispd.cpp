@@ -3,8 +3,9 @@
 //
 // The real benchmark data is not redistributable, so each circuit is a
 // synthetic stand-in with the paper's |V| (scaled), a Rent-rule background
-// and a planted population of tangled structures (see DESIGN.md).  To run
-// against the real data, pass --aux=<path to .aux file> instead.
+// and a planted population of tangled structures (see README
+// "Substitutions").  To run against the real data, pass
+// --aux=<path to .aux file> instead.
 //
 // Reported per design (paper's columns): |V|, #seeds, #GTL found, the top
 // three GTLs' size / cut / GTL-S / GTL-SD, and the runtime.

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
           return Status::ok();
         }
         std::cout << "no --aux given: generating a bigblue1-scale synthetic "
-                     "stand-in (see DESIGN.md)\n";
+                     "stand-in (see README \"Substitutions\")\n";
         auto cfg = ispd_like_config("bigblue1", factor);
         cfg.with_names = true;
         Rng rng(1);

@@ -51,31 +51,20 @@ Candidate score_sorted_members(std::span<const CellId> members,
   return finish_scored(std::move(c), members.size(), group, ctx, kind);
 }
 
-std::optional<Candidate> extract_candidate(const Netlist& nl,
-                                           const LinearOrdering& ordering,
-                                           ScoreKind kind,
-                                           const CurveConfig& curve_cfg,
-                                           const MinimumConfig& min_cfg) {
-  CurveScratch scratch;
-  return extract_candidate(nl, ordering, kind, curve_cfg, min_cfg, scratch);
-}
-
-std::optional<Candidate> extract_candidate(const Netlist& nl,
-                                           const LinearOrdering& ordering,
-                                           ScoreKind kind,
-                                           const CurveConfig& curve_cfg,
-                                           const MinimumConfig& min_cfg,
-                                           CurveScratch& scratch) {
-  if (ordering.cells.size() < min_cfg.min_size) return std::nullopt;
-  // Fused fast path: bitwise identical to compute_selected_curve +
-  // find_clear_minimum (pinned by score_curve_equivalence_test).
+Extraction extract_candidate(const Netlist& nl, const LinearOrdering& ordering,
+                             ScoreKind kind, const CurveConfig& curve_cfg,
+                             const MinimumConfig& min_cfg,
+                             CurveScratch& scratch) {
+  Extraction out;
+  if (ordering.cells.size() < 2) return out;
   const CurveExtremum curve =
       extract_curve_minimum(nl, ordering, curve_cfg, kind, min_cfg, scratch);
+  out.rent_exponent = curve.rent_exponent;
   const auto& minimum = curve.minimum;
-  if (!minimum) return std::nullopt;
+  if (!minimum) return out;
 
   const std::size_t k = minimum->prefix_size;
-  Candidate c;
+  Candidate& c = out.candidate.emplace();
   c.cells.assign(ordering.cells.begin(),
                  ordering.cells.begin() + static_cast<std::ptrdiff_t>(k));
   std::sort(c.cells.begin(), c.cells.end());
@@ -96,7 +85,7 @@ std::optional<Candidate> extract_candidate(const Netlist& nl,
   c.score = minimum->value;
   c.seed = ordering.seed;
   c.rent_exponent_used = curve.rent_exponent;
-  return c;
+  return out;
 }
 
 std::vector<CellId> set_union(std::span<const CellId> a,

@@ -47,21 +47,28 @@ struct Candidate {
                                              const ScoreContext& ctx,
                                              ScoreKind kind);
 
-/// Phase II: extract a candidate from an ordering, or nullopt when its
-/// score curve has no clear minimum (seed was outside any GTL).
-/// The candidate's scores use the ordering's own Rent exponent estimate.
-[[nodiscard]] std::optional<Candidate> extract_candidate(
-    const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind,
-    const CurveConfig& curve_cfg = {}, const MinimumConfig& min_cfg = {});
+/// Phase II result for one ordering.
+struct Extraction {
+  /// The ordering's own Rent exponent estimate (paper §3.2.2); nullopt
+  /// for an ordering of fewer than 2 cells, which has no prefix to
+  /// estimate from.
+  std::optional<double> rent_exponent;
+  /// The first k* cells at the score curve's clear minimum, scored with
+  /// the estimate above; nullopt when the curve has none (the seed was
+  /// outside any GTL).
+  std::optional<Candidate> candidate;
+};
 
-/// Scratch-backed extract_candidate: identical results (pinned by
-/// tests/finder/score_curve_equivalence_test.cpp), but the curve lives in
-/// `scratch` — zero steady-state allocation per inner re-growth, and only
-/// the selected Φ's full curve is computed.
-[[nodiscard]] std::optional<Candidate> extract_candidate(
-    const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind,
-    const CurveConfig& curve_cfg, const MinimumConfig& min_cfg,
-    CurveScratch& scratch);
+/// Phase II: estimate the ordering's Rent exponent and extract the
+/// candidate at its clear minimum.  The curve lives in `scratch` (zero
+/// steady-state allocation); results are pinned bit for bit to the
+/// three-curve reference by tests/finder/score_curve_equivalence_test.cpp.
+[[nodiscard]] Extraction extract_candidate(const Netlist& nl,
+                                           const LinearOrdering& ordering,
+                                           ScoreKind kind,
+                                           const CurveConfig& curve_cfg,
+                                           const MinimumConfig& min_cfg,
+                                           CurveScratch& scratch);
 
 // --- sorted-vector set algebra (member lists are sorted by id) ---
 

@@ -181,24 +181,6 @@ void Finder::notify_candidate_refined(std::size_t total) {
   observer_->on_candidate_refined(done, total);
 }
 
-void Finder::dispatch_items(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (cfg_.dynamic_scheduling) {
-    pool_.parallel_for_dynamic(n, fn);
-    return;
-  }
-  // Static ablation path: the pre-PR chunking, one contiguous block per
-  // worker.
-  const std::size_t n_workers = pool_.size();
-  const std::size_t chunk = (n + n_workers - 1) / n_workers;
-  pool_.parallel_for(n_workers, [&](std::size_t w) {
-    const std::size_t lo = w * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) fn(i, w);
-  });
-}
-
 const OrderingSet& Finder::grow_orderings() {
   // gtl-lint: allow(det-wall-clock): timing metadata; zeroed in results
   Timer timer;
@@ -236,7 +218,7 @@ const OrderingSet& Finder::grow_orderings() {
 
   // Seed i writes only slot i, so results are independent of which
   // worker pulls which ticket.
-  dispatch_items(m, [&](std::size_t i, std::size_t w) {
+  pool_.parallel_for_dynamic(m, [&](std::size_t i, std::size_t w) {
     if (cancel_requested()) return;
     orderings_.orderings[i] = engine_for(w).grow(orderings_.seeds[i]);
     orderings_.completed[i] = 1;
@@ -269,47 +251,13 @@ const CandidateSet& Finder::extract_candidates() {
   // Per-seed slots so parallel extraction stays deterministic: the curve
   // of seed i depends only on ordering i, and all cross-seed reductions
   // below run serially in seed order.
-  std::vector<Candidate> raw(m);
-  std::vector<std::uint8_t> has_candidate(m, 0);
-  std::vector<double> rent_estimates(m, -1.0);
-  dispatch_items(m, [&](std::size_t i, std::size_t w) {
+  std::vector<Extraction> extracted(m);
+  pool_.parallel_for_dynamic(m, [&](std::size_t i, std::size_t w) {
     if (honor_token && cancel_requested()) return;
     if (!orderings_.completed[i]) return;
     const LinearOrdering& ordering = orderings_.orderings[i];
-    if (ordering.cells.size() < 2) return;
-    // Fused fast path into this worker's reusable scratch: rent estimate
-    // plus clear minimum, bitwise identical to compute_selected_curve +
-    // find_clear_minimum but touching libm only on ambiguous prefixes.
-    const CurveExtremum curve = extract_curve_minimum(
-        *nl_, ordering, cfg_.curve, cfg_.score, cfg_.minimum,
-        scratch_[w].curve);
-    rent_estimates[i] = curve.rent_exponent;
-    const auto& minimum = curve.minimum;
-    if (!minimum) return;
-    const std::size_t k = minimum->prefix_size;
-    Candidate c;
-    c.cells.assign(ordering.cells.begin(),
-                   ordering.cells.begin() + static_cast<std::ptrdiff_t>(k));
-    std::sort(c.cells.begin(), c.cells.end());
-    c.cut = ordering.prefix_cut[k - 1];
-    c.avg_pins = static_cast<double>(ordering.prefix_pins[k - 1]) /
-                 static_cast<double>(k);
-    // The non-selected Φ at k is the one scoring call the dropped curve
-    // would have made there (same args => same bits).
-    const auto cut = static_cast<double>(c.cut);
-    const auto size = static_cast<double>(k);
-    if (cfg_.score == ScoreKind::kNgtlS) {
-      c.ngtl_s = minimum->value;
-      c.gtl_sd = gtl_sd_score(cut, size, c.avg_pins, curve.context);
-    } else {
-      c.ngtl_s = ngtl_score(cut, size, curve.context);
-      c.gtl_sd = minimum->value;
-    }
-    c.score = minimum->value;
-    c.seed = orderings_.seeds[i];
-    c.rent_exponent_used = curve.rent_exponent;
-    raw[i] = std::move(c);
-    has_candidate[i] = 1;
+    extracted[i] = extract_candidate(*nl_, ordering, cfg_.score, cfg_.curve,
+                                     cfg_.minimum, scratch_[w].curve);
   });
   if (honor_token && cancel_requested()) cancelled_ = true;
 
@@ -317,8 +265,8 @@ const CandidateSet& Finder::extract_candidates() {
   // §3.2.2), collected in seed order; all Phase III scoring uses this
   // shared context.
   std::vector<double> valid_rents;
-  for (const double p : rent_estimates) {
-    if (p >= 0.0) valid_rents.push_back(p);
+  for (const Extraction& e : extracted) {
+    if (e.rent_exponent) valid_rents.push_back(*e.rent_exponent);
   }
   candidates_.context.rent_exponent =
       valid_rents.empty() ? 0.6 : std::clamp(mean(valid_rents), 0.1, 1.0);
@@ -328,10 +276,10 @@ const CandidateSet& Finder::extract_candidates() {
   // Seed order makes a cancelled run's candidate list a prefix of the
   // full run's: membership here depends only on earlier entries.
   std::vector<Candidate> initial;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (has_candidate[i]) {
+  for (Extraction& e : extracted) {
+    if (e.candidate) {
       ++candidates_.extracted;
-      initial.push_back(std::move(raw[i]));
+      initial.push_back(std::move(*e.candidate));
     }
   }
   if (cfg_.dedup_candidates) {
@@ -382,7 +330,7 @@ const FinderResult& Finder::refine_and_prune() {
     RefineConfig rcfg;
     rcfg.extra_seeds = cfg_.refine_seeds;
     rcfg.min_size = cfg_.minimum.min_size;
-    dispatch_items(n, [&](std::size_t i, std::size_t w) {
+    pool_.parallel_for_dynamic(n, [&](std::size_t i, std::size_t w) {
       if (honor_token && cancel_requested()) return;
       if (cfg_.refine_seeds == 0) {
         // Candidate member lists are sorted by construction (Phase II

@@ -34,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -72,15 +71,6 @@ struct FinderConfig {
   /// speed optimization: duplicates refine to overlapping results that
   /// pruning would discard anyway).
   bool dedup_candidates = true;
-  /// Pull work items from a shared ticket counter instead of pre-carving
-  /// static per-worker chunks.  Per-seed cost varies wildly (dense
-  /// regions grow slowly), so static chunking leaves workers idle behind
-  /// the unluckiest chunk; dynamic scheduling fills them.  Results are
-  /// byte-identical either way — every work item writes only its own
-  /// slot and derives its RNG from its index, never from its worker
-  /// (pinned by tests/finder/finder_scheduling_test.cpp).  The knob
-  /// exists for ablation and scheduler-equivalence testing.
-  bool dynamic_scheduling = true;
 
   /// Check every field against its documented domain.  Returns OK or an
   /// invalid-argument Status naming the offending field — never throws,
@@ -213,7 +203,7 @@ class Finder {
   /// Ownership rule: scratch_[w] is touched only by the task holding
   /// worker slot w of the current dispatch, and no phase reads scratch
   /// contents written for another work item — which is why reuse across
-  /// items, runs, and scheduling modes cannot change results.
+  /// items and runs cannot change results.
   struct WorkerScratch {
     std::unique_ptr<OrderingEngine> engine;
     std::unique_ptr<GroupConnectivity> group;
@@ -228,11 +218,6 @@ class Finder {
   }
   [[nodiscard]] OrderingEngine& engine_for(std::size_t worker);
   [[nodiscard]] GroupConnectivity& group_for(std::size_t worker);
-
-  /// Run fn(item, worker_slot) for item in [0, n) on the pool, using the
-  /// configured scheduler (dynamic ticket counter vs static chunks).
-  void dispatch_items(std::size_t n,
-                      const std::function<void(std::size_t, std::size_t)>& fn);
 
   void notify_phase_start(FinderPhase phase, std::size_t work_items)
       GTL_EXCLUDES(observer_mu_);
@@ -269,5 +254,16 @@ class Finder {
   Mutex observer_mu_;
   std::atomic<std::size_t> progress_counter_{0};
 };
+
+/// One-shot convenience entry point: the full three-phase pipeline on a
+/// fresh session, for one-off calls (scripts, tests, single-query
+/// tools).  Repeated queries, progress/cancellation and the Phase I/II
+/// artifacts need a Finder.  Like the Finder constructor, throws
+/// std::logic_error on an invalid config; call cfg.validate() first for
+/// untrusted input.
+[[nodiscard]] inline FinderResult find_tangled_logic(
+    const Netlist& nl, const FinderConfig& cfg = {}) {
+  return Finder(nl, cfg).run();
+}
 
 }  // namespace gtl

@@ -213,7 +213,6 @@ JsonValue to_json(const FinderConfig& cfg) {
               JsonValue(static_cast<std::uint64_t>(cfg.num_threads)));
   obj.emplace("rng_seed", JsonValue(cfg.rng_seed));
   obj.emplace("dedup_candidates", JsonValue(cfg.dedup_candidates));
-  obj.emplace("dynamic_scheduling", JsonValue(cfg.dynamic_scheduling));
   return JsonValue(std::move(obj));
 }
 
@@ -257,8 +256,6 @@ Status finder_config_from_json(const JsonValue& json, FinderConfig* out) {
   GTL_RETURN_IF_ERROR(r.read_size("num_threads", &cfg.num_threads));
   GTL_RETURN_IF_ERROR(r.read_u64("rng_seed", &cfg.rng_seed));
   GTL_RETURN_IF_ERROR(r.read_bool("dedup_candidates", &cfg.dedup_candidates));
-  GTL_RETURN_IF_ERROR(
-      r.read_bool("dynamic_scheduling", &cfg.dynamic_scheduling));
   GTL_RETURN_IF_ERROR(r.check_no_unknown_keys());
   *out = cfg;
   return Status::ok();

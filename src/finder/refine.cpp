@@ -33,9 +33,9 @@ Candidate refine_candidate(const Netlist& nl, const Candidate& initial,
     const CellId inner_seed =
         initial.cells[rng.next_below(initial.cells.size())];
     const LinearOrdering ordering = engine.grow(inner_seed);
-    auto cand =
+    Extraction e =
         extract_candidate(nl, ordering, kind, curve_cfg, min_cfg, arena.curve);
-    if (cand) list_at(n_lists++) = std::move(cand->cells);
+    if (e.candidate) list_at(n_lists++) = std::move(e.candidate->cells);
   }
   const std::size_t n_base = n_lists;
 

@@ -87,12 +87,12 @@ void ensure_log_k(CurveScratch& scratch, std::size_t n) {
   }
 }
 
-/// Rent pass shared by compute_selected_curve and extract_curve_minimum:
-/// the same k-order accumulation as compute_score_curve with ln k / ln T
-/// read from the memo tables and the per-prefix clamp evaluated by the
-/// rent_clamp kernel (same ops per element => same bits).  Requires
-/// scratch.a_c and scratch.log_k filled for [1, n].  Returns the clamped
-/// mean.
+/// Rent pass of extract_curve_minimum: the same k-order accumulation as
+/// compute_score_curve with ln k / ln T read from the memo tables and the
+/// per-prefix clamp evaluated by the rent_clamp kernel (same ops per
+/// element => same bits).  Requires scratch.a_c and scratch.log_k filled
+/// for [1, n].  Returns the clamped mean, which every score depends on —
+/// so the score pass cannot fuse with this one.
 double batched_rent_exponent(const LinearOrdering& ordering,
                              const CurveConfig& cfg, CurveScratch& scratch,
                              std::size_t n) {
@@ -118,80 +118,7 @@ double batched_rent_exponent(const LinearOrdering& ordering,
   return std::clamp(mean, 0.1, 1.0);
 }
 
-/// Fills scratch.expo and scratch.pow_denom so that the selected score is
-/// cutd[i] / pow_denom[i], replicating ngtl_score / gtl_sd_score
-/// operation-for-operation.  Requires scratch.a_c filled.
-void batched_denominators(ScoreKind kind, const ScoreContext& ctx,
-                          CurveScratch& scratch, std::size_t n) {
-  scratch.expo.resize(n);
-  scratch.pow_denom.resize(n);
-  const double a_g = ctx.avg_pins_per_cell;
-  const double p = ctx.rent_exponent;
-  if (kind == ScoreKind::kNgtlS) {
-    std::fill(scratch.expo.begin(), scratch.expo.end(), p);
-    for (std::size_t k = 1; k <= n; ++k) {
-      scratch.pow_denom[k - 1] = std::pow(static_cast<double>(k), p);
-    }
-    // ngtl_score divides by pow then by A_G; fold the second division
-    // into the denominator is NOT bit-safe, so callers divide twice.
-  } else {
-    // gtl_sd_score: exponent = p * (a_c / A_G); denom = A_G * pow.
-    simd::div_by_scalar(scratch.a_c.data(), n, a_g, scratch.expo.data());
-    simd::mul_by_scalar(scratch.expo.data(), n, p, scratch.expo.data());
-    for (std::size_t k = 1; k <= n; ++k) {
-      scratch.pow_denom[k - 1] =
-          std::pow(static_cast<double>(k), scratch.expo[k - 1]);
-    }
-    simd::mul_by_scalar(scratch.pow_denom.data(), n, a_g,
-                        scratch.pow_denom.data());
-  }
-}
-
 }  // namespace
-
-SelectedScoreCurve compute_selected_curve(const Netlist& nl,
-                                          const LinearOrdering& ordering,
-                                          const CurveConfig& cfg,
-                                          ScoreKind kind,
-                                          CurveScratch& scratch) {
-  GTL_REQUIRE(!ordering.cells.empty(), "ordering is empty");
-  const std::size_t n = ordering.cells.size();
-  GTL_REQUIRE(ordering.prefix_cut.size() == n &&
-                  ordering.prefix_pins.size() == n,
-              "ordering prefix arrays inconsistent");
-
-  SelectedScoreCurve out;
-  out.context.avg_pins_per_cell = nl.average_pins_per_cell();
-
-  ensure_log_k(scratch, n);
-  scratch.a_c.resize(n);
-  simd::pins_over_index(ordering.prefix_pins.data(), n, 1,
-                        scratch.a_c.data());
-  out.rent_exponent = batched_rent_exponent(ordering, cfg, scratch, n);
-  out.context.rent_exponent = out.rent_exponent;
-
-  // Score pass: only the curve the caller selects minima on (the other Φ
-  // is needed at one k only — callers evaluate it point-wise).  This pass
-  // cannot fuse with the rent pass above: it needs the final clamped mean.
-  scratch.values.resize(n);
-  scratch.cutd.resize(n);
-  simd::cut_to_double(ordering.prefix_cut.data(), n, scratch.cutd.data());
-  batched_denominators(kind, out.context, scratch, n);
-  if (kind == ScoreKind::kNgtlS) {
-    // gtl = cut / pow(size, p); value = gtl / A_G — two divisions, same
-    // order as ngtl_score.
-    simd::div_elem(scratch.cutd.data(), scratch.pow_denom.data(), n,
-                   scratch.values.data());
-    simd::div_by_scalar(scratch.values.data(), n,
-                        out.context.avg_pins_per_cell,
-                        scratch.values.data());
-  } else {
-    simd::div_elem(scratch.cutd.data(), scratch.pow_denom.data(), n,
-                   scratch.values.data());
-  }
-  out.values = std::span<const double>(scratch.values.data(), n);
-  return out;
-}
 
 std::optional<ClearMinimum> find_clear_minimum(std::span<const double> curve,
                                                const MinimumConfig& cfg) {
@@ -253,23 +180,17 @@ CurveExtremum extract_curve_minimum(const Netlist& nl,
 
   CurveExtremum out;
   out.context.avg_pins_per_cell = nl.average_pins_per_cell();
-  if (!(out.context.avg_pins_per_cell > 0.0)) {
-    // Degenerate netlist (no pins): scores are not finite and the
-    // enclosure argument below does not apply.  Take the exact path.
-    const SelectedScoreCurve sel =
-        compute_selected_curve(nl, ordering, cfg, kind, scratch);
-    out.rent_exponent = sel.rent_exponent;
-    out.context = sel.context;
-    out.minimum = find_clear_minimum(sel.values, min_cfg);
-    return out;
-  }
-
   ensure_log_k(scratch, n);
   scratch.a_c.resize(n);
   simd::pins_over_index(ordering.prefix_pins.data(), n, 1,
                         scratch.a_c.data());
   out.rent_exponent = batched_rent_exponent(ordering, cfg, scratch, n);
   out.context.rent_exponent = out.rent_exponent;
+
+  // Degenerate netlist (no pins, A_G = 0): every Φ divides by A_G and is
+  // NaN or inf, so no prefix can pass the clear-minimum tests (and the
+  // enclosure argument below needs A_G > 0).
+  if (!(out.context.avg_pins_per_cell > 0.0)) return out;
 
   // Same domain guards as find_clear_minimum, decided before any score.
   if (n < min_cfg.min_size || min_cfg.min_size == 0) return out;
@@ -300,10 +221,10 @@ CurveExtremum extract_curve_minimum(const Netlist& nl,
                        scratch.log_k.data() + 1, n, a_g, scratch.lo.data(),
                        scratch.hi.data());
 
-  // Exact Φ(C_k), bit-for-bit the compute_selected_curve value: same
-  // function, same operand bits (a_c and expo come from the same kernel
-  // ops).  cut == 0 shortcuts to +0.0 — the exponent is >= 0 so the
-  // denominator is >= A_G > 0 (possibly +inf), and 0/positive == +0.
+  // Exact Φ(C_k), bit-for-bit the compute_score_curve value: the same
+  // score function on the same operand bits.  cut == 0 shortcuts to
+  // +0.0 — the exponent is >= 0 so the denominator is >= A_G > 0
+  // (possibly +inf), and 0/positive == +0.
   const auto exact_at = [&](std::size_t k) {
     const std::int64_t cut_i = ordering.prefix_cut[k - 1];
     if (cut_i == 0) return 0.0;

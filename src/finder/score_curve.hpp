@@ -59,16 +59,13 @@ struct CurveConfig {
                                              const LinearOrdering& ordering,
                                              const CurveConfig& cfg = {});
 
-/// Reusable scratch backing compute_selected_curve.  One instance per
+/// Reusable scratch backing extract_curve_minimum.  One instance per
 /// worker thread; every buffer keeps its capacity across seeds, so the
 /// steady-state fast path allocates nothing.  The ln tables are shared
 /// across seeds — k and the (small, heavily repeating) integer cuts are
 /// the same arguments to the same std::log call no matter which ordering
 /// is being scored, so memoizing them cannot change a single bit.
 struct CurveScratch {
-  /// Selected Φ per prefix; compute_selected_curve's return value points
-  /// here, valid until the next call with this scratch.
-  std::vector<double> values;
   /// log_k[k] = std::log(double(k)); index 0 unused, extended lazily.
   std::vector<double> log_k;
   /// log_cut[c] = std::log(double(c)) for c >= 1; log_cut[0] =
@@ -76,45 +73,20 @@ struct CurveScratch {
   /// to a live std::log).
   std::vector<double> log_cut;
   /// Batch buffers for the SIMD kernels (util/simd.hpp): per-prefix
-  /// average pins a_c(k), double(cut), pow exponents, pow/denominator
-  /// values, and the fused fast path's score enclosures.
+  /// average pins a_c(k), double(cut), pow exponents, and the score
+  /// enclosures.
   std::vector<double> a_c;
   std::vector<double> cutd;
   std::vector<double> expo;
-  std::vector<double> pow_denom;
   std::vector<double> lo;
   std::vector<double> hi;
   /// Rent-pass batch buffers over prefixes k >= max(rent_min_k, 2).
   std::vector<double> rent_log_cut;
   std::vector<double> rent_log_ac;
   std::vector<double> rent_p;
-  /// Ambiguous-lane indices of the fused fast path.
+  /// Ambiguous-lane indices of the enclosure scans.
   std::vector<std::uint32_t> idx;
 };
-
-/// One score curve instead of three: the Φ the finder actually selects
-/// minima on.  Everything is bitwise-identical to the corresponding
-/// ScoreCurve fields (pinned by tests/finder/score_curve_equivalence_
-/// test.cpp, which embeds the full three-curve implementation as a
-/// reference): the rent estimate runs the same k-order accumulation, and
-/// values(kind)[k-1] comes from the same ngtl_score/gtl_sd_score call.
-/// The other Φ at a chosen k is one extra call with `context` — see
-/// extract_candidate.  Costs ~1 transcendental per prefix (vs 5) and no
-/// allocation in steady state; full fusion into one pass is impossible
-/// because every score depends on the final rent exponent, which is the
-/// mean over all prefixes.
-struct SelectedScoreCurve {
-  /// Φ_kind(C_k) at index k-1, backed by the scratch passed in.
-  std::span<const double> values;
-  double rent_exponent = 0.6;
-  /// A_G plus the rent estimate above — the context every curve value
-  /// was computed with.
-  ScoreContext context;
-};
-
-[[nodiscard]] SelectedScoreCurve compute_selected_curve(
-    const Netlist& nl, const LinearOrdering& ordering, const CurveConfig& cfg,
-    ScoreKind kind, CurveScratch& scratch);
 
 /// Parameters of the clear-minimum test.
 struct MinimumConfig {
@@ -131,33 +103,38 @@ struct ClearMinimum {
   double value = 0.0;           ///< Φ(C_{k*})
 };
 
-/// Find the clear minimum of `curve` (one of ScoreCurve's value vectors
-/// or a SelectedScoreCurve's values), or nullopt if no prefix passes the
-/// three checks.  The curve must be NaN-free (every Φ is).
+/// Find the clear minimum of `curve` (one of ScoreCurve's value vectors),
+/// or nullopt if no prefix passes the three checks.  The curve must be
+/// NaN-free (every Φ is when A_G > 0).
 [[nodiscard]] std::optional<ClearMinimum> find_clear_minimum(
     std::span<const double> curve, const MinimumConfig& cfg = {});
 
-/// Result of the fused curve + clear-minimum extraction fast path.
+/// Result of the fused curve + clear-minimum extraction.
 struct CurveExtremum {
-  /// Identical bits to SelectedScoreCurve::rent_exponent.
+  /// Identical bits to ScoreCurve::rent_exponent.
   double rent_exponent = 0.6;
   /// A_G plus the rent estimate — what every score was computed with.
   ScoreContext context;
   /// Bitwise identical to
-  /// find_clear_minimum(compute_selected_curve(...).values, min_cfg).
+  /// find_clear_minimum(compute_score_curve(...).values(kind), min_cfg);
+  /// nullopt on a pinless netlist (A_G = 0), where no Φ is finite.
   std::optional<ClearMinimum> minimum;
 };
 
-/// Fused fast path for the finder's hot loop: equivalent to
-/// compute_selected_curve followed by find_clear_minimum, without fully
-/// materializing the exact curve.  A vectorized exp2 approximation
-/// (simd::bounded_scores) encloses every Φ(C_k) in a guaranteed
-/// [lo, hi] interval; the min scan and the drop/rise tests run on the
-/// enclosures and re-evaluate only the few ambiguous prefixes with the
-/// exact libm-backed score functions.  Every comparison that decides the
-/// result is therefore made on exact values, so the outcome — k*, its
-/// score bits, and the rent estimate — is identical to the slow path by
-/// construction (pinned by tests/finder/score_curve_equivalence_test).
+/// The finder's Phase II hot path: the ordering's Rent estimate and the
+/// clear minimum of the selected Φ's curve, without materializing the
+/// curve.  The Rent pass reads ln k / ln T from the scratch memo tables
+/// and runs the same k-order accumulation as compute_score_curve.  A
+/// vectorized exp2 approximation (simd::bounded_scores) then encloses
+/// every Φ(C_k) in a guaranteed [lo, hi] interval; the min scan and the
+/// drop/rise tests run on the enclosures and re-evaluate only the few
+/// ambiguous prefixes with the exact libm-backed score functions.  Every
+/// comparison that decides the result is therefore made on exact values,
+/// so the outcome — k*, its score bits, and the rent estimate — is
+/// identical to the three-curve composition by construction (pinned by
+/// tests/finder/score_curve_equivalence_test.cpp).  Costs ~1
+/// transcendental per prefix (vs 5 for compute_score_curve) and no
+/// allocation in steady state.
 [[nodiscard]] CurveExtremum extract_curve_minimum(
     const Netlist& nl, const LinearOrdering& ordering, const CurveConfig& cfg,
     ScoreKind kind, const MinimumConfig& min_cfg, CurveScratch& scratch);

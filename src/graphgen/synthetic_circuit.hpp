@@ -1,7 +1,7 @@
 #pragma once
 // Rent-rule-structured synthetic circuits — the stand-in for the ISPD
 // 2005/2006 placement benchmarks and the industrial 65nm design, neither of
-// which can ship with this repository (see DESIGN.md substitution table).
+// which can ship with this repository (see README "Substitutions").
 //
 // Construction: cells live on an implicit sqrt(n) x sqrt(n) grid; each
 // background net picks a center cell and draws its remaining pins within a

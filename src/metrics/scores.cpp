@@ -42,22 +42,8 @@ double ng_rent_metric(double cut, double size) {
 double group_rent_exponent(double cut, double size, double avg_pins_in_group) {
   GTL_REQUIRE(size >= 1.0, "group must be non-empty");
   if (size < 2.0 || avg_pins_in_group <= 0.0) return 1.0;
-  return group_rent_exponent(cut, size, avg_pins_in_group, std::log(size));
-}
-
-double group_rent_exponent(double cut, double size, double avg_pins_in_group,
-                           double log_size) {
-  GTL_REQUIRE(size >= 1.0, "group must be non-empty");
-  const double t = std::max(cut, 1e-9);
-  return group_rent_exponent_prelogged(std::log(t), size, avg_pins_in_group,
-                                       log_size);
-}
-
-double group_rent_exponent_prelogged(double log_cut, double size,
-                                     double avg_pins_in_group,
-                                     double log_size) {
-  if (size < 2.0 || avg_pins_in_group <= 0.0) return 1.0;
-  const double p = (log_cut - std::log(avg_pins_in_group)) / log_size;
+  const double log_cut = std::log(std::max(cut, 1e-9));
+  const double p = (log_cut - std::log(avg_pins_in_group)) / std::log(size);
   return std::clamp(p, 0.0, 1.0);
 }
 

@@ -51,25 +51,6 @@ struct ScoreContext {
 [[nodiscard]] double group_rent_exponent(double cut, double size,
                                          double avg_pins_in_group);
 
-/// Same estimate with ln |C| supplied by the caller.  `log_size` MUST be
-/// std::log(size) — Phase II's fast path caches the ln k table across
-/// seeds (k is the same for every ordering), which keeps curves
-/// bitwise-identical to the overload above while skipping one log per
-/// prefix.
-[[nodiscard]] double group_rent_exponent(double cut, double size,
-                                         double avg_pins_in_group,
-                                         double log_size);
-
-/// Innermost variant with both logs supplied: `log_cut` MUST be
-/// std::log(std::max(cut, 1e-9)) and `log_size` MUST be std::log(size).
-/// Phase II memoizes both (cuts are small integers that repeat heavily
-/// along an ordering), leaving one live std::log (of A_C) per prefix.
-/// The overloads above delegate here, so all three are bitwise-identical.
-[[nodiscard]] double group_rent_exponent_prelogged(double log_cut,
-                                                   double size,
-                                                   double avg_pins_in_group,
-                                                   double log_size);
-
 /// All three GTL metrics of one tracked group, in one call.
 struct GtlScores {
   double gtl_s = 0.0;

@@ -1,5 +1,5 @@
 #pragma once
-// Global placement substrate (see DESIGN.md substitution table): a
+// Global placement substrate (see README "Substitutions"): a
 // FastPlace-flavored quadratic placer.
 //
 //   1. Net model: clique expansion with weight 1/(|e|-1) per pin pair for

@@ -58,11 +58,6 @@ void mul_by_scalar(const double* in, std::size_t n, double s, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = in[i] * s;
 }
 
-void div_elem(const double* num, const double* den, std::size_t n,
-              double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = num[i] / den[i];
-}
-
 void sub_elem(const double* a, const double* b, std::size_t n, double* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
 }
@@ -255,11 +250,6 @@ void div_by_scalar(const double* in, std::size_t n, double d, double* out) {
 
 void mul_by_scalar(const double* in, std::size_t n, double s, double* out) {
   active::mul_by_scalar(in, n, s, out);
-}
-
-void div_elem(const double* num, const double* den, std::size_t n,
-              double* out) {
-  active::div_elem(num, den, n, out);
 }
 
 void sub_elem(const double* a, const double* b, std::size_t n, double* out) {

@@ -69,19 +69,17 @@ void div_by_scalar(const double* in, std::size_t n, double d, double* out);
 /// out[i] = in[i] * s.
 void mul_by_scalar(const double* in, std::size_t n, double s, double* out);
 
-/// out[i] = num[i] / den[i].
-void div_elem(const double* num, const double* den, std::size_t n,
-              double* out);
-
 /// out[i] = a[i] - b[i].
 void sub_elem(const double* a, const double* b, std::size_t n, double* out);
 
-/// Vector tail of group_rent_exponent_prelogged over a span of prefixes:
+/// Vector tail of metrics::group_rent_exponent over a span of prefixes,
+/// with ln T and ln k supplied by the caller:
 ///   out[i] = a_c[i] <= 0
 ///       ? 1.0 : clamp((log_cut[i] - log_ac[i]) / log_k[i], 0, 1)
 /// Callers guarantee size >= 2 for every element (the size < 2 guard
 /// stays with them) and that log_ac[i] is only meaningful when
-/// a_c[i] > 0.  Matches metrics::group_rent_exponent_prelogged bitwise.
+/// a_c[i] > 0.  Matches metrics::group_rent_exponent bitwise when
+/// log_cut[i] = std::log(std::max(cut, 1e-9)) and log_k[i] = std::log(k).
 void rent_clamp(const double* log_cut, const double* log_ac,
                 const double* log_k, const double* a_c, std::size_t n,
                 double* out);
@@ -165,8 +163,6 @@ void pins_over_index(const std::uint64_t* pins, std::size_t n, std::size_t k0,
 void cut_to_double(const std::int64_t* cut, std::size_t n, double* out);
 void div_by_scalar(const double* in, std::size_t n, double d, double* out);
 void mul_by_scalar(const double* in, std::size_t n, double s, double* out);
-void div_elem(const double* num, const double* den, std::size_t n,
-              double* out);
 void sub_elem(const double* a, const double* b, std::size_t n, double* out);
 void rent_clamp(const double* log_cut, const double* log_ac,
                 const double* log_k, const double* a_c, std::size_t n,

@@ -121,16 +121,6 @@ void mul_by_scalar(const double* in, std::size_t n, double s, double* out) {
   scalar_ref::mul_by_scalar(in + nb, n - nb, s, out + nb);
 }
 
-void div_elem(const double* num, const double* den, std::size_t n,
-              double* out) {
-  const std::size_t nb = n - n % kW;
-  for (std::size_t i = 0; i < nb; i += kW) {
-    _mm256_storeu_pd(out + i, _mm256_div_pd(_mm256_loadu_pd(num + i),
-                                            _mm256_loadu_pd(den + i)));
-  }
-  scalar_ref::div_elem(num + nb, den + nb, n - nb, out + nb);
-}
-
 void sub_elem(const double* a, const double* b, std::size_t n, double* out) {
   const std::size_t nb = n - n % kW;
   for (std::size_t i = 0; i < nb; i += kW) {

@@ -59,8 +59,6 @@ void pins_over_index(const std::uint64_t* pins, std::size_t n, std::size_t k0,
 void cut_to_double(const std::int64_t* cut, std::size_t n, double* out);
 void div_by_scalar(const double* in, std::size_t n, double d, double* out);
 void mul_by_scalar(const double* in, std::size_t n, double s, double* out);
-void div_elem(const double* num, const double* den, std::size_t n,
-              double* out);
 void sub_elem(const double* a, const double* b, std::size_t n, double* out);
 void rent_clamp(const double* log_cut, const double* log_ac,
                 const double* log_k, const double* a_c, std::size_t n,

@@ -56,7 +56,7 @@ namespace {
 /// Wait for EVERY future before rethrowing the first captured exception.
 /// Rethrowing from the first failed get() would unwind this frame while
 /// later tasks are still running — and they reference the caller's
-/// stack-local fn (and, for the dynamic variant, the ticket counter).
+/// stack-local fn and the ticket counter.
 void join_all_then_throw(std::vector<std::future<void>>& futs) {
   std::exception_ptr first_error;
   for (auto& f : futs) {
@@ -70,17 +70,6 @@ void join_all_then_throw(std::vector<std::future<void>>& futs) {
 }
 
 }  // namespace
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  std::vector<std::future<void>> futs;
-  futs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futs.push_back(submit([&fn, i] { fn(i); }));
-  }
-  join_all_then_throw(futs);
-}
 
 void ThreadPool::parallel_for_dynamic(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {

@@ -43,12 +43,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// If any fn throws, the first exception (in index order) is rethrown
-  /// — but only after every task has finished, since running tasks still
-  /// reference the caller's fn.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
   /// Run fn(i, slot) for i in [0, n): min(size(), n) tasks pull indices
   /// from a shared atomic ticket counter, so an expensive index never
   /// pins a whole pre-carved chunk behind it (dynamic load balancing).
@@ -58,7 +52,9 @@ class ThreadPool {
   /// writes only to per-index state and per-slot scratch whose contents
   /// do not leak between indices; which slot processes which index is
   /// NOT deterministic.  With one worker (or n == 1) indices are
-  /// processed in increasing order.
+  /// processed in increasing order.  If any fn throws, its task stops and
+  /// the first exception (in slot order) is rethrown — but only after
+  /// every task has finished, since running tasks still reference fn.
   void parallel_for_dynamic(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t)>& fn);

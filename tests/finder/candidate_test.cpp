@@ -90,7 +90,10 @@ TEST(ExtractCandidate, RecoversPlantedGtl) {
   OrderingEngine engine(pg.netlist,
                         {.max_length = 1500, .large_net_threshold = 20});
   const LinearOrdering ord = engine.grow(pg.gtl_members[0][3]);
-  const auto cand = extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd);
+  CurveScratch scratch;
+  const Extraction got =
+      extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd, {}, {}, scratch);
+  const auto& cand = got.candidate;
   ASSERT_TRUE(cand.has_value());
   EXPECT_NEAR(static_cast<double>(cand->size()), 500.0, 25.0);
   const auto rec = recovery_stats(pg.gtl_members[0], cand->cells);
@@ -113,16 +116,23 @@ TEST(ExtractCandidate, BackgroundSeedYieldsNothing) {
   OrderingEngine engine(pg.netlist,
                         {.max_length = 1500, .large_net_threshold = 20});
   const LinearOrdering ord = engine.grow(bg);
-  EXPECT_FALSE(
-      extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd).has_value());
+  CurveScratch scratch;
+  const Extraction got =
+      extract_candidate(pg.netlist, ord, ScoreKind::kGtlSd, {}, {}, scratch);
+  EXPECT_FALSE(got.candidate.has_value());
+  EXPECT_TRUE(got.rent_exponent.has_value());
 }
 
 TEST(ExtractCandidate, TooShortOrderingRejected) {
   const Netlist nl = testing::make_grid3x3();
   OrderingEngine engine(nl, {.max_length = 9, .large_net_threshold = 0});
   const LinearOrdering ord = engine.grow(0);
-  EXPECT_FALSE(
-      extract_candidate(nl, ord, ScoreKind::kGtlSd).has_value());
+  CurveScratch scratch;
+  const Extraction got =
+      extract_candidate(nl, ord, ScoreKind::kGtlSd, {}, {}, scratch);
+  EXPECT_FALSE(got.candidate.has_value());
+  // Too short for a candidate, but it still has a Rent estimate.
+  EXPECT_TRUE(got.rent_exponent.has_value());
 }
 
 }  // namespace

@@ -159,7 +159,6 @@ FinderConfig non_default_config() {
   cfg.num_threads = 3;
   cfg.rng_seed = 0xDEADBEEFDEADBEEFULL;  // > int64 max: uint64 must survive
   cfg.dedup_candidates = false;
-  cfg.dynamic_scheduling = false;
   return cfg;
 }
 
@@ -179,7 +178,6 @@ void expect_config_eq(const FinderConfig& a, const FinderConfig& b) {
   EXPECT_EQ(a.num_threads, b.num_threads);
   EXPECT_EQ(a.rng_seed, b.rng_seed);
   EXPECT_EQ(a.dedup_candidates, b.dedup_candidates);
-  EXPECT_EQ(a.dynamic_scheduling, b.dynamic_scheduling);
 }
 
 TEST(FinderConfigJson, RoundTripsDefaults) {
@@ -219,6 +217,11 @@ TEST(FinderConfigJson, RejectsUnknownKey) {
   const Status st = parse_finder_config(R"({"num_seedz": 7})", &cfg);
   ASSERT_FALSE(st.is_ok());
   EXPECT_NE(st.message().find("num_seedz"), std::string::npos);
+  // A removed field is an unknown key too, not silently ignored.
+  const Status removed =
+      parse_finder_config(R"({"dynamic_scheduling": false})", &cfg);
+  ASSERT_FALSE(removed.is_ok());
+  EXPECT_NE(removed.message().find("dynamic_scheduling"), std::string::npos);
 }
 
 TEST(FinderConfigJson, RejectsUnknownNestedKey) {

@@ -1,5 +1,5 @@
 // The finder-level half of the determinism invariant promised in
-// tangled_logic_finder.hpp: results depend only on `rng_seed`, never on
+// finder.hpp: results depend only on `rng_seed`, never on
 // `num_threads`, because every seed index gets its own derived RNG
 // stream (the stream-level half lives in
 // tests/util/thread_pool_determinism_test.cpp).

@@ -2,15 +2,15 @@
 // find_tangled_logic() wrapper and the Finder session API produce
 // byte-identical results — across configs, seeds, thread counts, and
 // (critically) across *reuses* of one session, whose per-worker scratch
-// persists between run() calls.
+// persists between run() calls.  Includes only the public finder header
+// for the finder API, so it also pins what <gtl/finder.hpp> exports.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "finder/finder.hpp"
-#include "finder/tangled_logic_finder.hpp"
 #include "graphgen/planted_graph.hpp"
+#include "gtl/finder.hpp"
 #include "util/rng.hpp"
 
 namespace gtl {

@@ -1,9 +1,8 @@
 // Scheduler equivalence: Finder results must be byte-identical (exact
 // doubles, exact member lists) no matter how work is scheduled — across
-// worker counts, across dynamic (ticket-counter) vs static (pre-carved
-// chunk) dispatch, and under cancellation.  This is the determinism
-// contract that makes the dynamic scheduler safe to ship: every work
-// item writes only its own slot and derives its RNG stream from its
+// worker counts and under cancellation.  This is the determinism
+// contract that makes the dynamic (ticket-counter) scheduler safe: every
+// work item writes only its own slot and derives its RNG stream from its
 // index, never from the worker that happened to pull it.
 
 #include <gtest/gtest.h>
@@ -75,23 +74,6 @@ TEST(FinderScheduling, ThreadCountInvarianceUnderDynamicScheduling) {
   }
 }
 
-TEST(FinderScheduling, StaticAndDynamicSchedulesAgree) {
-  const PlantedGraph pg = make_graph(72);
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    FinderConfig dyn = base_config();
-    dyn.num_threads = threads;
-    dyn.dynamic_scheduling = true;
-    FinderConfig sta = dyn;
-    sta.dynamic_scheduling = false;
-    Finder a(pg.netlist, dyn);
-    Finder b(pg.netlist, sta);
-    const FinderResult ra = a.run();
-    const FinderResult& rb = b.run();
-    expect_results_identical(ra, rb, "static vs dynamic");
-  }
-}
-
 TEST(FinderScheduling, MoreWorkersThanItems) {
   // Ticket dispatch with 8 workers over 5 seeds: slots beyond the item
   // count must idle harmlessly and results must match the 1-thread run.
@@ -124,8 +106,8 @@ class CancelAfterSeeds : public ProgressObserver {
 TEST(FinderScheduling, CancelPrefixGuaranteeSurvivesDynamicScheduling) {
   // With one worker the ticket counter hands out 0, 1, 2, ... in order,
   // so cancel-after-k must still yield exactly the first k seeds, each
-  // byte-identical to the full run — the same guarantee the static
-  // scheduler gave (finder_session_test pins the rest of the contract).
+  // byte-identical to the full run (finder_session_test pins the rest of
+  // the contract).
   const PlantedGraph pg = make_graph(74);
   FinderConfig cfg = base_config();
   cfg.num_threads = 1;
@@ -135,28 +117,23 @@ TEST(FinderScheduling, CancelPrefixGuaranteeSurvivesDynamicScheduling) {
   full.grow_orderings();
   const OrderingSet& whole = full.orderings();
 
-  for (const bool dynamic : {true, false}) {
-    FinderConfig ccfg = cfg;
-    ccfg.dynamic_scheduling = dynamic;
-    Finder cancelled(pg.netlist, ccfg);
-    CancelToken token;
-    CancelAfterSeeds trip(&token, kCancelAt);
-    cancelled.set_observer(&trip);
-    cancelled.set_cancel_token(&token);
-    cancelled.grow_orderings();
+  Finder cancelled(pg.netlist, cfg);
+  CancelToken token;
+  CancelAfterSeeds trip(&token, kCancelAt);
+  cancelled.set_observer(&trip);
+  cancelled.set_cancel_token(&token);
+  cancelled.grow_orderings();
 
-    const OrderingSet& part = cancelled.orderings();
-    ASSERT_EQ(part.seeds, whole.seeds);
-    EXPECT_EQ(part.num_completed(), kCancelAt);
-    for (std::size_t i = 0; i < part.completed.size(); ++i) {
-      EXPECT_EQ(part.completed[i] != 0, i < kCancelAt)
-          << "seed " << i << " dynamic " << dynamic;
-      if (part.completed[i]) {
-        EXPECT_EQ(part.orderings[i].cells, whole.orderings[i].cells)
-            << "seed " << i << " dynamic " << dynamic;
-        EXPECT_EQ(part.orderings[i].prefix_cut, whole.orderings[i].prefix_cut)
-            << "seed " << i << " dynamic " << dynamic;
-      }
+  const OrderingSet& part = cancelled.orderings();
+  ASSERT_EQ(part.seeds, whole.seeds);
+  EXPECT_EQ(part.num_completed(), kCancelAt);
+  for (std::size_t i = 0; i < part.completed.size(); ++i) {
+    EXPECT_EQ(part.completed[i] != 0, i < kCancelAt) << "seed " << i;
+    if (part.completed[i]) {
+      EXPECT_EQ(part.orderings[i].cells, whole.orderings[i].cells)
+          << "seed " << i;
+      EXPECT_EQ(part.orderings[i].prefix_cut, whole.orderings[i].prefix_cut)
+          << "seed " << i;
     }
   }
 }

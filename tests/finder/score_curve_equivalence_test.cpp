@@ -1,11 +1,13 @@
-// Pins the Phase II/III fast paths bit-for-bit to the pre-optimization
-// implementations, which are embedded here verbatim as references (the
-// same discipline as tests/order/ordering_frontier_equivalence_test.cpp):
+// Pins the Phase II/III fast paths bit-for-bit to the original
+// implementations, kept as references (the three-curve reference in
+// finder/score_curve_reference.hpp, the rest embedded below; the same
+// discipline as tests/order/ordering_frontier_equivalence_test.cpp):
 //
-//   * compute_selected_curve (scratch-backed, single-Φ, memoized ln
-//     tables) vs the allocating three-curve reference;
-//   * extract_candidate's scratch overload vs a reference extraction
-//     reading every field off the reference curve;
+//   * extract_curve_minimum (scratch-backed, single-Φ, memoized ln
+//     tables, enclosure scans) vs find_clear_minimum on the allocating
+//     three-curve reference;
+//   * extract_candidate vs a reference extraction reading every field
+//     off the reference curve;
 //   * refine_candidate (worker-scratch tracker + family arena, losers
 //     scored without materialization) vs the allocating reference that
 //     builds a fresh GroupConnectivity and a fresh vector per set-op.
@@ -24,55 +26,24 @@
 #include "finder/candidate.hpp"
 #include "finder/refine.hpp"
 #include "finder/score_curve.hpp"
+#include "finder/score_curve_reference.hpp"
 #include "graphgen/planted_graph.hpp"
 #include "metrics/group_connectivity.hpp"
 #include "metrics/scores.hpp"
 #include "order/linear_ordering.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace gtl {
 namespace {
 
 // ---------------------------------------------------------------------
-// Reference implementations (pre-PR4 src/finder/{score_curve,candidate,
+// Reference implementations (the original src/finder/{candidate,
 // refine}.cpp, verbatim modulo names).
 // ---------------------------------------------------------------------
 
-ScoreCurve reference_score_curve(const Netlist& nl,
-                                 const LinearOrdering& ordering,
-                                 const CurveConfig& cfg) {
-  const std::size_t n = ordering.cells.size();
-
-  ScoreCurve out;
-  out.context.avg_pins_per_cell = nl.average_pins_per_cell();
-
-  double p_sum = 0.0;
-  std::size_t p_count = 0;
-  for (std::size_t k = std::max<std::size_t>(cfg.rent_min_k, 2); k <= n; ++k) {
-    const auto cut = static_cast<double>(ordering.prefix_cut[k - 1]);
-    const double a_c = static_cast<double>(ordering.prefix_pins[k - 1]) /
-                       static_cast<double>(k);
-    p_sum += group_rent_exponent(cut, static_cast<double>(k), a_c);
-    ++p_count;
-  }
-  out.rent_exponent = p_count > 0 ? p_sum / static_cast<double>(p_count) : 0.6;
-  out.rent_exponent = std::clamp(out.rent_exponent, 0.1, 1.0);
-  out.context.rent_exponent = out.rent_exponent;
-
-  out.ngtl_s.resize(n);
-  out.gtl_sd.resize(n);
-  out.ratio_cut.resize(n);
-  for (std::size_t k = 1; k <= n; ++k) {
-    const auto cut = static_cast<double>(ordering.prefix_cut[k - 1]);
-    const auto size = static_cast<double>(k);
-    const double a_c =
-        static_cast<double>(ordering.prefix_pins[k - 1]) / size;
-    out.ngtl_s[k - 1] = ngtl_score(cut, size, out.context);
-    out.gtl_sd[k - 1] = gtl_sd_score(cut, size, a_c, out.context);
-    out.ratio_cut[k - 1] = ratio_cut(cut, size);
-  }
-  return out;
-}
+using testing::reference_rent_exponent;
+using testing::reference_score_curve;
 
 std::optional<Candidate> reference_extract_candidate(
     const Netlist& nl, const LinearOrdering& ordering, ScoreKind kind,
@@ -193,11 +164,39 @@ void expect_candidate_identical(const std::optional<Candidate>& got,
   EXPECT_EQ(got->rent_exponent_used, want->rent_exponent_used) << what;
 }
 
+/// extract_curve_minimum's outcome vs the reference curve's: rent
+/// estimate, context and clear minimum, all bit for bit.
+void expect_extremum_matches(const CurveExtremum& got, const ScoreCurve& ref,
+                             ScoreKind kind, const MinimumConfig& mcfg,
+                             std::size_t oi) {
+  EXPECT_EQ(got.rent_exponent, ref.rent_exponent) << "ordering " << oi;
+  EXPECT_EQ(got.context.rent_exponent, ref.context.rent_exponent);
+  EXPECT_EQ(got.context.avg_pins_per_cell, ref.context.avg_pins_per_cell);
+  const auto want = find_clear_minimum(ref.values(kind), mcfg);
+  ASSERT_EQ(got.minimum.has_value(), want.has_value())
+      << "ordering " << oi << " kind " << static_cast<int>(kind)
+      << " min_size " << mcfg.min_size;
+  if (want) {
+    EXPECT_EQ(got.minimum->prefix_size, want->prefix_size) << "ordering " << oi;
+    EXPECT_EQ(got.minimum->value, want->value) << "ordering " << oi;
+  }
+}
+
+/// Accepts the global argmin over nearly the whole curve, so the result
+/// hinges on the exact value of every prefix.
+constexpr MinimumConfig kPermissive{.min_size = 1,
+                                    .accept_threshold = 1e9,
+                                    .drop_factor = 1.0,
+                                    .rise_factor = 1.0,
+                                    .edge_fraction = 0.0};
+
 // ---------------------------------------------------------------------
 // Curve equivalence
 // ---------------------------------------------------------------------
 
 TEST(ScoreCurveEquivalence, SelectedCurveMatchesReferenceBitwise) {
+  // The selected Φ's curve as extract_curve_minimum sees it, including
+  // the fallback rent when rent_min_k exceeds every ordering.
   const Workload w = make_workload(101, 4'000, 300, 1'200);
   CurveScratch scratch;  // deliberately shared across every call below
   for (const CurveConfig ccfg : {CurveConfig{.rent_min_k = 10},
@@ -207,19 +206,10 @@ TEST(ScoreCurveEquivalence, SelectedCurveMatchesReferenceBitwise) {
       for (std::size_t oi = 0; oi < w.orderings.size(); ++oi) {
         const LinearOrdering& ord = w.orderings[oi];
         const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord, ccfg);
-        const SelectedScoreCurve sel = compute_selected_curve(
-            w.pg.netlist, ord, ccfg, kind, scratch);
-
-        ASSERT_EQ(sel.values.size(), ord.cells.size());
-        EXPECT_EQ(sel.rent_exponent, ref.rent_exponent)
-            << "ordering " << oi << " rent_min_k " << ccfg.rent_min_k;
-        EXPECT_EQ(sel.context.rent_exponent, ref.context.rent_exponent);
-        EXPECT_EQ(sel.context.avg_pins_per_cell, ref.context.avg_pins_per_cell);
-        const std::vector<double>& want = ref.values(kind);
-        for (std::size_t k = 0; k < sel.values.size(); ++k) {
-          ASSERT_EQ(sel.values[k], want[k])
-              << "ordering " << oi << " k " << (k + 1) << " rent_min_k "
-              << ccfg.rent_min_k;
+        for (const MinimumConfig& mcfg : {MinimumConfig{}, kPermissive}) {
+          const CurveExtremum got = extract_curve_minimum(
+              w.pg.netlist, ord, ccfg, kind, mcfg, scratch);
+          expect_extremum_matches(got, ref, kind, mcfg, oi);
         }
       }
     }
@@ -228,7 +218,7 @@ TEST(ScoreCurveEquivalence, SelectedCurveMatchesReferenceBitwise) {
 
 TEST(ScoreCurveEquivalence, ProductionFullCurveStillMatchesReference) {
   // compute_score_curve (the three-curve API figs/tools use) must keep
-  // matching the embedded reference too — it is the contract the fast
+  // matching the reference too — it is the contract the fast
   // path is pinned against.
   const Workload w = make_workload(102, 3'000, 250, 900);
   for (const LinearOrdering& ord : w.orderings) {
@@ -251,14 +241,15 @@ TEST(ScoreCurveEquivalence, ScratchReuseAcrossShrinkingOrderings) {
 
   CurveScratch scratch;
   const LinearOrdering& long_ord = w.orderings[0];
+  std::size_t oi = 0;
   for (const LinearOrdering* ord : {&long_ord, &short_ord, &long_ord}) {
     const ScoreCurve ref = reference_score_curve(w.pg.netlist, *ord, {});
-    const SelectedScoreCurve sel = compute_selected_curve(
-        w.pg.netlist, *ord, {}, ScoreKind::kGtlSd, scratch);
-    ASSERT_EQ(sel.values.size(), ord->cells.size());
-    for (std::size_t k = 0; k < sel.values.size(); ++k) {
-      ASSERT_EQ(sel.values[k], ref.gtl_sd[k]);
+    for (const MinimumConfig& mcfg : {MinimumConfig{}, kPermissive}) {
+      const CurveExtremum got = extract_curve_minimum(
+          w.pg.netlist, *ord, {}, ScoreKind::kGtlSd, mcfg, scratch);
+      expect_extremum_matches(got, ref, ScoreKind::kGtlSd, mcfg, oi);
     }
+    ++oi;
   }
 }
 
@@ -272,11 +263,12 @@ TEST(ScoreCurveEquivalence, SingleCellOrderingUsesFallbackRent) {
   ASSERT_EQ(ord.cells.size(), 1u);
   CurveScratch scratch;
   const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord, {});
-  const SelectedScoreCurve sel =
-      compute_selected_curve(w.pg.netlist, ord, {}, ScoreKind::kNgtlS, scratch);
-  EXPECT_EQ(sel.rent_exponent, ref.rent_exponent);
-  ASSERT_EQ(sel.values.size(), 1u);
-  EXPECT_EQ(sel.values[0], ref.ngtl_s[0]);
+  EXPECT_EQ(ref.rent_exponent, 0.6);
+  for (const MinimumConfig& mcfg : {MinimumConfig{}, kPermissive}) {
+    const CurveExtremum got = extract_curve_minimum(
+        w.pg.netlist, ord, {}, ScoreKind::kNgtlS, mcfg, scratch);
+    expect_extremum_matches(got, ref, ScoreKind::kNgtlS, mcfg, 0);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -291,26 +283,23 @@ TEST(ExtractEquivalence, ScratchOverloadMatchesReference) {
       const LinearOrdering& ord = w.orderings[oi];
       const auto want =
           reference_extract_candidate(w.pg.netlist, ord, kind, {}, {});
-      const auto got =
+      const Extraction got =
           extract_candidate(w.pg.netlist, ord, kind, {}, {}, scratch);
-      expect_candidate_identical(got, want, "scratch overload");
-      // The scratch-free convenience overload must agree as well.
-      const auto got_plain = extract_candidate(w.pg.netlist, ord, kind);
-      expect_candidate_identical(got_plain, want, "plain overload");
+      expect_candidate_identical(got.candidate, want, "extract_candidate");
+      ASSERT_TRUE(got.rent_exponent.has_value());
+      EXPECT_EQ(*got.rent_exponent, reference_rent_exponent(ord, {}));
     }
   }
 }
 
 TEST(ExtractEquivalence, FusedMinimumMatchesSlowPathBitwise) {
   // extract_curve_minimum is the finder's fused fast path: its rent
-  // estimate, context, and (k*, Φ(k*)) must be bit-identical to the
-  // compute_selected_curve + find_clear_minimum composition on every
-  // ordering and under configs tuned to sit close to the decision
-  // boundaries (forcing the interval bounds into their exact-fallback
-  // branches).
+  // estimate, context, and (k*, Φ(k*)) must be bit-identical to
+  // find_clear_minimum on the reference curve for every ordering and
+  // under configs tuned to sit close to the decision boundaries (forcing
+  // the interval bounds into their exact-fallback branches).
   const Workload w = make_workload(107, 4'000, 300, 1'200);
   CurveScratch fast_scratch;
-  CurveScratch slow_scratch;
   std::vector<MinimumConfig> configs = {
       MinimumConfig{},
       MinimumConfig{.min_size = 2, .edge_fraction = 0.0},
@@ -328,38 +317,50 @@ TEST(ExtractEquivalence, FusedMinimumMatchesSlowPathBitwise) {
     for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
       for (std::size_t oi = 0; oi < w.orderings.size(); ++oi) {
         const LinearOrdering& ord = w.orderings[oi];
-        const SelectedScoreCurve sel = compute_selected_curve(
-            w.pg.netlist, ord, ccfg, kind, slow_scratch);
+        const ScoreCurve ref = reference_score_curve(w.pg.netlist, ord, ccfg);
+        const std::vector<double>& values = ref.values(kind);
         // Thresholds derived from the true minimum stress the ambiguous
         // paths: the drop/rise existence tests then hinge on values the
         // enclosures cannot separate.
         std::vector<MinimumConfig> local = configs;
-        if (const auto base = find_clear_minimum(sel.values)) {
-          const double mb =
-              *std::max_element(sel.values.begin(),
-                                sel.values.begin() +
-                                    static_cast<std::ptrdiff_t>(
-                                        base->prefix_size));
+        if (const auto base = find_clear_minimum(values)) {
+          const auto end =
+              values.begin() + static_cast<std::ptrdiff_t>(base->prefix_size);
+          const double mb = *std::max_element(values.begin(), end);
           MinimumConfig tight;
           tight.drop_factor = mb / std::max(base->value, 1e-12);
           local.push_back(tight);
         }
         for (const MinimumConfig& mcfg : local) {
-          const auto want = find_clear_minimum(sel.values, mcfg);
           const CurveExtremum got = extract_curve_minimum(
               w.pg.netlist, ord, ccfg, kind, mcfg, fast_scratch);
-          EXPECT_EQ(got.rent_exponent, sel.rent_exponent) << "ordering " << oi;
-          EXPECT_EQ(got.context.rent_exponent, sel.context.rent_exponent);
-          EXPECT_EQ(got.context.avg_pins_per_cell,
-                    sel.context.avg_pins_per_cell);
-          ASSERT_EQ(got.minimum.has_value(), want.has_value())
-              << "ordering " << oi << " kind " << static_cast<int>(kind)
-              << " min_size " << mcfg.min_size;
-          if (want) {
-            EXPECT_EQ(got.minimum->prefix_size, want->prefix_size)
-                << "ordering " << oi;
-            EXPECT_EQ(got.minimum->value, want->value) << "ordering " << oi;
-          }
+          expect_extremum_matches(got, ref, kind, mcfg, oi);
+        }
+      }
+    }
+  }
+
+  // Pinless netlist (A_G = 0): no Φ is finite, so no ordering has a
+  // minimum, but the Rent estimate is still the reference's.
+  const Netlist pinless = testing::make_netlist(300, {});
+  for (const std::size_t n :
+       {std::size_t{2}, std::size_t{50}, std::size_t{299}}) {
+    LinearOrdering ord;
+    ord.seed = 0;
+    for (std::size_t k = 1; k <= n; ++k) {
+      ord.cells.push_back(static_cast<CellId>(k - 1));
+      ord.prefix_cut.push_back(0);
+      ord.prefix_pins.push_back(0);
+    }
+    for (const CurveConfig ccfg :
+         {CurveConfig{.rent_min_k = 10}, CurveConfig{.rent_min_k = 2}}) {
+      for (const ScoreKind kind : {ScoreKind::kGtlSd, ScoreKind::kNgtlS}) {
+        for (const MinimumConfig& mcfg : configs) {
+          const CurveExtremum got = extract_curve_minimum(
+              pinless, ord, ccfg, kind, mcfg, fast_scratch);
+          EXPECT_FALSE(got.minimum.has_value()) << "pinless n " << n;
+          EXPECT_EQ(got.rent_exponent, reference_rent_exponent(ord, ccfg))
+              << "pinless n " << n;
         }
       }
     }

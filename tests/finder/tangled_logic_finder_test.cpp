@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "finder/score_curve_reference.hpp"
 #include "graphgen/planted_graph.hpp"
 #include "test_helpers.hpp"
+#include "util/stats.hpp"
 
 namespace gtl {
 namespace {
@@ -197,6 +200,60 @@ TEST(TangledLogicFinder, StatsArePopulated) {
   EXPECT_LE(res.candidates_after_dedup, res.candidates_before_refine);
   EXPECT_GE(res.total_seconds, 0.0);
   EXPECT_GT(res.context.avg_pins_per_cell, 0.0);
+}
+
+TEST(TangledLogicFinder, ShortOrderingsCountTowardRentMean) {
+  // A planted design plus small components (2..12 cells, all below
+  // minimum.min_size) and isolated cells.  Orderings seeded in a small
+  // component cannot yield a candidate, but every ordering of >= 2 cells
+  // still contributes its Rent estimate to the global mean; one-cell
+  // orderings have no prefix to estimate from and contribute nothing.
+  PlantedGraphConfig gcfg;
+  gcfg.num_cells = 400;
+  gcfg.gtls.push_back({60, 1});
+  Rng rng(10);
+  const PlantedGraph pg = generate_planted_graph(gcfg, rng);
+  NetlistBuilder nb;
+  for (CellId c = 0; c < pg.netlist.num_cells(); ++c) nb.add_cell();
+  for (NetId e = 0; e < pg.netlist.num_nets(); ++e) {
+    nb.add_net(pg.netlist.pins_of(e));
+  }
+  for (std::size_t size = 2; size <= 12; ++size) {
+    std::vector<CellId> component;
+    for (std::size_t i = 0; i < size; ++i) component.push_back(nb.add_cell());
+    for (std::size_t i = 0; i + 1 < size; ++i) {
+      nb.add_net({component[i], component[i + 1]});
+      nb.add_net({component[i], component[(i + 2) % size]});
+    }
+  }
+  for (int i = 0; i < 5; ++i) (void)nb.add_cell();
+  const Netlist nl = nb.build();
+
+  FinderConfig cfg = small_finder_config();
+  cfg.num_seeds = 80;
+  Finder finder(nl, cfg);
+  finder.grow_orderings();
+  finder.extract_candidates();
+  finder.refine_and_prune();
+
+  const OrderingSet& grown = finder.orderings();
+  std::vector<double> estimates;
+  std::size_t short_orderings = 0;
+  std::size_t single_cell = 0;
+  for (std::size_t i = 0; i < grown.orderings.size(); ++i) {
+    ASSERT_TRUE(grown.completed[i]);
+    const LinearOrdering& ord = grown.orderings[i];
+    if (ord.cells.size() < 2) {
+      ++single_cell;
+      continue;
+    }
+    if (ord.cells.size() < cfg.minimum.min_size) ++short_orderings;
+    estimates.push_back(testing::reference_rent_exponent(ord, cfg.curve));
+  }
+  ASSERT_GT(short_orderings, 0u);
+  ASSERT_GT(single_cell, 0u);
+  EXPECT_EQ(finder.result().context.rent_exponent,
+            std::clamp(mean(estimates), 0.1, 1.0));
 }
 
 }  // namespace

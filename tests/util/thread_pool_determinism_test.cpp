@@ -1,7 +1,7 @@
-// Determinism smoke test for the build-critical util layer: parallel_for
-// over per-index RNG streams derived with Rng::split must produce the
-// same values regardless of pool width or scheduling order. This is the
-// mechanism behind tangled_logic_finder.hpp's promise that results
+// Determinism smoke test for the build-critical util layer:
+// parallel_for_dynamic over per-index RNG streams derived with Rng::split
+// must produce the same values regardless of pool width or scheduling
+// order. This is the mechanism behind finder.hpp's promise that results
 // depend only on `rng_seed`, never on `num_threads` (the finder-level
 // half of that invariant lives in tests/finder/finder_determinism_test.cpp).
 
@@ -25,7 +25,8 @@ std::vector<std::uint64_t> draw_per_index(std::size_t num_threads,
   for (std::size_t i = 0; i < n; ++i) streams.push_back(root.split());
   std::vector<std::uint64_t> out(n);
   ThreadPool pool(num_threads);
-  pool.parallel_for(n, [&](std::size_t i) { out[i] = streams[i].next(); });
+  pool.parallel_for_dynamic(
+      n, [&](std::size_t i, std::size_t) { out[i] = streams[i].next(); });
   return out;
 }
 
@@ -46,9 +47,9 @@ TEST(ThreadPoolDeterminism, StreamsIndependentOfPoolReuse) {
     for (std::size_t i = 0; i < 64; ++i) streams.push_back(root.split());
     reused.resize(64);
     ThreadPool pool(4);
-    pool.parallel_for(32,
-                      [&](std::size_t i) { reused[i] = streams[i].next(); });
-    pool.parallel_for(32, [&](std::size_t i) {
+    pool.parallel_for_dynamic(
+        32, [&](std::size_t i, std::size_t) { reused[i] = streams[i].next(); });
+    pool.parallel_for_dynamic(32, [&](std::size_t i, std::size_t) {
       reused[32 + i] = streams[32 + i].next();
     });
   }

@@ -21,31 +21,10 @@ TEST(ThreadPool, SizeMatchesRequest) {
   EXPECT_EQ(pool.size(), 3u);
 }
 
-TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
 TEST(ThreadPool, ExceptionsPropagate) {
   ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
 }
 
 TEST(ThreadPool, DynamicVisitsEveryIndexOnceWithValidSlots) {
