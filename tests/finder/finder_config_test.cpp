@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "finder/finder.hpp"
@@ -76,10 +77,17 @@ TEST(FinderCreate, MatchesThrowingConstructor) {
   EXPECT_EQ(a.dump(), b.dump());
 }
 
+// gtest_discover_tests names each case by its printed param. Without a
+// PrintTo that is the raw bytes of this struct, whose two pointers change
+// from run to run under address-space randomisation; the label keeps the
+// test ids stable.
 struct RejectionCase {
+  const char* label;           // test-name suffix, unique per case
   const char* name;            // must appear in the error message
   void (*mutate)(FinderConfig&);
 };
+
+void PrintTo(const RejectionCase& c, std::ostream* os) { *os << c.label; }
 
 class FinderConfigRejection
     : public ::testing::TestWithParam<RejectionCase> {};
@@ -97,47 +105,51 @@ TEST_P(FinderConfigRejection, RejectsWithFieldName) {
 INSTANTIATE_TEST_SUITE_P(
     AllFields, FinderConfigRejection,
     ::testing::Values(
-        RejectionCase{"num_seeds",
+        RejectionCase{"num_seeds_too_large", "num_seeds",
                       [](FinderConfig& c) { c.num_seeds = (1u << 24) + 1; }},
-        RejectionCase{"max_ordering_length",
+        RejectionCase{"max_ordering_length_zero", "max_ordering_length",
                       [](FinderConfig& c) { c.max_ordering_length = 0; }},
-        RejectionCase{"max_ordering_length",
+        RejectionCase{"max_ordering_length_one", "max_ordering_length",
                       [](FinderConfig& c) { c.max_ordering_length = 1; }},
-        RejectionCase{"score",
+        RejectionCase{"score_out_of_range", "score",
                       [](FinderConfig& c) {
                         c.score = static_cast<ScoreKind>(7);
                       }},
-        RejectionCase{"minimum.min_size",
+        RejectionCase{"minimum_min_size_one", "minimum.min_size",
                       [](FinderConfig& c) { c.minimum.min_size = 1; }},
-        RejectionCase{"minimum.accept_threshold",
+        RejectionCase{"minimum_accept_threshold_zero",
+                      "minimum.accept_threshold",
                       [](FinderConfig& c) {
                         c.minimum.accept_threshold = 0.0;
                       }},
-        RejectionCase{"minimum.accept_threshold",
+        RejectionCase{"minimum_accept_threshold_nan",
+                      "minimum.accept_threshold",
                       [](FinderConfig& c) {
                         c.minimum.accept_threshold =
                             std::numeric_limits<double>::quiet_NaN();
                       }},
-        RejectionCase{"minimum.drop_factor",
+        RejectionCase{"minimum_drop_factor_below_one", "minimum.drop_factor",
                       [](FinderConfig& c) { c.minimum.drop_factor = 0.5; }},
-        RejectionCase{"minimum.drop_factor",
+        RejectionCase{"minimum_drop_factor_infinite", "minimum.drop_factor",
                       [](FinderConfig& c) {
                         c.minimum.drop_factor =
                             std::numeric_limits<double>::infinity();
                       }},
-        RejectionCase{"minimum.rise_factor",
+        RejectionCase{"minimum_rise_factor_below_one", "minimum.rise_factor",
                       [](FinderConfig& c) { c.minimum.rise_factor = 0.99; }},
-        RejectionCase{"minimum.edge_fraction",
+        RejectionCase{"minimum_edge_fraction_negative",
+                      "minimum.edge_fraction",
                       [](FinderConfig& c) {
                         c.minimum.edge_fraction = -0.01;
                       }},
-        RejectionCase{"minimum.edge_fraction",
+        RejectionCase{"minimum_edge_fraction_above_half",
+                      "minimum.edge_fraction",
                       [](FinderConfig& c) { c.minimum.edge_fraction = 0.6; }},
-        RejectionCase{"curve.rent_min_k",
+        RejectionCase{"curve_rent_min_k_one", "curve.rent_min_k",
                       [](FinderConfig& c) { c.curve.rent_min_k = 1; }},
-        RejectionCase{"refine_seeds",
+        RejectionCase{"refine_seeds_too_many", "refine_seeds",
                       [](FinderConfig& c) { c.refine_seeds = 65; }},
-        RejectionCase{"num_threads",
+        RejectionCase{"num_threads_too_many", "num_threads",
                       [](FinderConfig& c) { c.num_threads = 4097; }}));
 
 // ---------- config JSON round trip ----------
